@@ -29,10 +29,6 @@ type Options struct {
 	// (default 0.01). Below it, a persisting violation is attributed to
 	// unpredictable interference and handed to the balancer.
 	LoadDelta float64
-	// SearchParallelism fans the §V-B candidate sweep across a worker
-	// pool (> 1 enables it; see Searcher.Parallelism). Leave at 0 when
-	// the controller itself runs inside a parallel fleet step.
-	SearchParallelism int
 }
 
 func (o Options) withDefaults() Options {
@@ -92,8 +88,7 @@ func New(spec hw.Spec, pred *models.Predictor, budget power.Watts, opt Options) 
 		Opt:    opt.withDefaults(),
 	}
 	s.searcher = Searcher{Spec: spec, Pred: pred, Budget: budget,
-		HeadroomWays: s.Opt.SearchHeadroom, HeadroomFreq: s.Opt.SearchHeadroom,
-		Parallelism: s.Opt.SearchParallelism}
+		HeadroomWays: s.Opt.SearchHeadroom, HeadroomFreq: s.Opt.SearchHeadroom}
 	// The balancer checks harvests against the same guarded budget the
 	// searcher uses, so a harvest never knowingly lands above the cap.
 	s.balancer = Balancer{Spec: spec, Pred: pred, Budget: s.searcher.guardedBudget(),

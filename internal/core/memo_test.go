@@ -8,6 +8,31 @@ import (
 	"sturgeon/internal/power"
 )
 
+// gridOracle is a deterministic synthetic predictor: QoS feasibility and
+// power are smooth monotone functions of the allocation, so the binary
+// searches exercise their full range without the cost of model training.
+type gridOracle struct {
+	spec hw.Spec
+}
+
+func (o gridOracle) capacity(a hw.Alloc) float64 {
+	return float64(a.Cores)*float64(a.Freq) + 0.35*float64(a.LLCWays)
+}
+
+func (o gridOracle) QoSOK(a hw.Alloc, qps float64) bool {
+	// Peak load needs roughly the whole machine; scale linearly below.
+	full := hw.Alloc{Cores: o.spec.Cores - 1, Freq: o.spec.FreqMax, LLCWays: o.spec.LLCWays - 1}
+	return o.capacity(a) >= qps/20000*o.capacity(full)
+}
+
+func (o gridOracle) Throughput(a hw.Alloc) float64 {
+	return o.capacity(a)
+}
+
+func (o gridOracle) PowerW(cfg hw.Config, qps float64) power.Watts {
+	return power.Watts(40 + 2.2*o.capacity(cfg.LS) + 2.0*o.capacity(cfg.BE))
+}
+
 // countingOracle wraps gridOracle with query counters, so tests can
 // prove a memoized answer touched no model at all.
 type countingOracle struct {

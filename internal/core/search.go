@@ -12,7 +12,6 @@ import (
 	"reflect"
 
 	"sturgeon/internal/hw"
-	"sturgeon/internal/pool"
 	"sturgeon/internal/power"
 )
 
@@ -60,16 +59,6 @@ type Searcher struct {
 	// peak-power modelling: predicted power must stay a guard band below
 	// the cap so that model error cannot tip the node over it.
 	PowerGuardFrac float64
-	// Parallelism fans the per-core-count candidate evaluations of the
-	// §V-B sweep across a worker pool (the per-c1 rows only read the
-	// predictor, so they are independent). ≤ 1 — the default — keeps the
-	// serial sweep with its early exit; > 1 evaluates every row
-	// speculatively and merges in c1 order, reproducing the serial
-	// result bit-for-bit at the cost of the rows past the cutoff. The
-	// Predictor must be safe for concurrent reads (models.Predictor is).
-	// The default stays serial because controllers usually run inside
-	// the cluster pool's fan-out, where nesting would oversubscribe.
-	Parallelism int
 
 	// Search memoization (BestConfig): the answer is a pure function of
 	// (load, guarded budget, predictor), so repeated loads — diurnal
@@ -195,21 +184,11 @@ func (s *Searcher) memoKey(qps float64) (searchKey, bool) {
 	}, true
 }
 
-// candidateRow is the outcome of enumerating one LS core count: its
-// frontier entries plus whether the sweep may stop once any candidate
-// exists (every BE frequency already at maximum).
-type candidateRow struct {
-	cands []Candidate
-	stop  bool
-}
-
 // candidatesAt enumerates the §V-B frontier at a fixed LS core count,
 // appending candidates — throughput still unscored — to dst. The
 // early-stop verdict depends only on the BE frequency levels, so
 // deferring the throughput scores to one batched evaluation changes
-// neither the candidate set nor the cutoff. It only reads s and the
-// predictor, so rows for different core counts can be evaluated
-// concurrently.
+// neither the candidate set nor the cutoff.
 func (s *Searcher) candidatesAt(qps float64, c1, maxLvl int, dst []Candidate) ([]Candidate, bool) {
 	stop := true
 	for _, ls := range s.justEnough(qps, c1) {
@@ -232,9 +211,6 @@ func (s *Searcher) candidatesAt(qps float64, c1, maxLvl int, dst []Candidate) ([
 // increasing LS-core order. It stops once the BE application reaches
 // maximum frequency — granting the LS service further cores past that
 // point can only shrink the BE allocation without any frequency gain.
-// With Parallelism > 1 the per-core-count rows are evaluated on a worker
-// pool and merged in c1 order, so the cutoff — and the returned slice —
-// are identical to the serial sweep's.
 func (s *Searcher) Candidates(qps float64) []Candidate {
 	return s.CandidatesInto(qps, nil)
 }
@@ -252,19 +228,6 @@ func (s *Searcher) CandidatesInto(qps float64, dst []Candidate) []Candidate {
 		return dst
 	}
 	out := dst
-	if s.Parallelism > 1 {
-		rows := pool.Map(s.Parallelism, spec.Cores-c1min, func(j int) candidateRow {
-			cands, stop := s.candidatesAt(qps, c1min+j, maxLvl, nil)
-			return candidateRow{cands: cands, stop: stop}
-		})
-		for _, row := range rows {
-			out = append(out, row.cands...)
-			if len(out) > 0 && row.stop {
-				break
-			}
-		}
-		return s.scoreFrontier(out)
-	}
 	for c1 := c1min; c1 < spec.Cores; c1++ {
 		var stop bool
 		out, stop = s.candidatesAt(qps, c1, maxLvl, out)

@@ -95,12 +95,8 @@ type Event struct {
 // (counted in Dropped), so a long run keeps a recent decision tail at a
 // fixed memory cost. All methods are nil-safe.
 type Journal struct {
-	mu      sync.Mutex
-	buf     []Event
-	start   int // ring index of the oldest retained event
-	n       int // retained count
-	seq     int64
-	dropped int64
+	mu  sync.Mutex
+	log ring[Event]
 }
 
 // DefaultJournalCap is the ring capacity NewJournal uses for cap <= 0.
@@ -111,7 +107,7 @@ func NewJournal(cap int) *Journal {
 	if cap <= 0 {
 		cap = DefaultJournalCap
 	}
-	return &Journal{buf: make([]Event, cap)}
+	return &Journal{log: newRing(cap, func(ev *Event, seq int64) { ev.Seq = seq })}
 }
 
 // Append stamps ev with the next sequence number and stores it,
@@ -122,17 +118,7 @@ func (j *Journal) Append(ev Event) int64 {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.seq++
-	ev.Seq = j.seq
-	if j.n == len(j.buf) {
-		j.buf[j.start] = ev
-		j.start = (j.start + 1) % len(j.buf)
-		j.dropped++
-	} else {
-		j.buf[(j.start+j.n)%len(j.buf)] = ev
-		j.n++
-	}
-	return ev.Seq
+	return j.log.push(ev)
 }
 
 // Since returns the retained events with Seq > seq, oldest first. A nil
@@ -143,37 +129,28 @@ func (j *Journal) Since(seq int64) []Event {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	var out []Event
-	for i := 0; i < j.n; i++ {
-		ev := j.buf[(j.start+i)%len(j.buf)]
-		if ev.Seq > seq {
-			out = append(out, ev)
-		}
-	}
-	return out
+	return j.log.appendSince(nil, seq)
 }
 
 // DrainTo re-appends every retained event with Seq > seq onto dst
 // (which stamps its own sequence numbers) and returns this journal's
 // newest sequence — the caller's next drain cursor. It serves the
-// cluster's per-interval serial merge: sequence numbers are contiguous,
-// so the cursor indexes straight into the ring and a drain costs
-// exactly the events moved, with no slice allocation (Since would
-// allocate one per interval on the stepping hot path).
+// cluster's per-interval serial merge: the cursor indexes straight into
+// the ring, so a drain costs exactly the events moved, with no slice
+// allocation (Since would allocate one per interval on the stepping hot
+// path).
 func (j *Journal) DrainTo(dst *Journal, seq int64) int64 {
 	if j == nil {
 		return seq
 	}
+	if dst == nil {
+		return j.LastSeq()
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	first := j.seq - int64(j.n) // seq before the oldest retained event
-	if seq < first {
-		seq = first
-	}
-	for s := seq + 1; s <= j.seq; s++ {
-		dst.Append(j.buf[(j.start+int(s-first-1))%len(j.buf)])
-	}
-	return j.seq
+	dst.mu.Lock()
+	defer dst.mu.Unlock()
+	return j.log.drainTo(&dst.log, seq)
 }
 
 // LastSeq returns the newest assigned sequence number (0 before the
@@ -184,7 +161,7 @@ func (j *Journal) LastSeq() int64 {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.seq
+	return j.log.last()
 }
 
 // Dropped returns how many events the ring has overwritten.
@@ -194,7 +171,7 @@ func (j *Journal) Dropped() int64 {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.dropped
+	return j.log.dropped()
 }
 
 // EventsDoc is the persisted journal ("sturgeon/events/v1"): the
@@ -233,14 +210,13 @@ func (d *EventsDoc) Validate() error {
 	return nil
 }
 
-// Doc snapshots the journal as the persistable events document. A nil
-// journal yields an empty (but valid) document.
+// Doc snapshots the journal as the persistable events document (the
+// DocSince(0) snapshot without its gap count). A nil journal yields an
+// empty (but valid) document.
 func (j *Journal) Doc() *EventsDoc {
-	return &EventsDoc{
-		Schema:  EventsSchema,
-		Dropped: j.Dropped(),
-		Events:  j.Since(0),
-	}
+	d := j.DocSince(0)
+	d.Missing = 0
+	return d
 }
 
 // DocSince snapshots the events after seq. Missing counts events the
@@ -248,11 +224,13 @@ func (j *Journal) Doc() *EventsDoc {
 // ring answers a stale cursor with a gap, and this field is how the
 // response documents the drop (a quiet journal reports 0).
 func (j *Journal) DocSince(seq int64) *EventsDoc {
-	d := &EventsDoc{Schema: EventsSchema, Dropped: j.Dropped()}
+	d := &EventsDoc{Schema: EventsSchema}
 	if j == nil {
 		return d
 	}
-	d.Events = j.Since(seq)
-	d.Missing = missingSince(seq, j.LastSeq(), int64(len(d.Events)))
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	d.Dropped, d.Events = j.log.dropped(), j.log.appendSince(nil, seq)
+	d.Missing = missingSince(seq, j.log.last(), int64(len(d.Events)))
 	return d
 }

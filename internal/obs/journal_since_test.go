@@ -136,3 +136,18 @@ func TestJournalDrainTo(t *testing.T) {
 		t.Fatalf("nil DrainTo cursor = %d, want 7", cur)
 	}
 }
+
+// TestJournalAppendDrainAllocFree pins a busy merge interval: appending
+// to a staging journal and draining it into the fleet journal allocates
+// nothing (a stamped copy escaping to the heap would cost two per event).
+func TestJournalAppendDrainAllocFree(t *testing.T) {
+	staging, fleet := NewJournal(4), NewJournal(16)
+	var cur int64
+	n := testing.AllocsPerRun(100, func() {
+		staging.Append(Event{T: 1, Type: EventHarvest})
+		cur = staging.DrainTo(fleet, cur)
+	})
+	if n != 0 || cur != 101 {
+		t.Fatalf("append+drain: %.0f allocs per call, cursor %d; want 0 allocs, cursor 101", n, cur)
+	}
+}

@@ -111,6 +111,43 @@ func TestTSeriesRawRingWraps(t *testing.T) {
 	}
 }
 
+// TestTSeriesRollupRingWraps overfills the 10 s tier's sealed-bin ring:
+// per-second samples over 15995 s seal 1599 ten-second bins, so the
+// ring drops the oldest 63 and exports the newest 1536 oldest-first,
+// followed by the open (15990,16000] bin holding 5 samples.
+func TestTSeriesRollupRingWraps(t *testing.T) {
+	rec := NewRecorder(0)
+	s := rec.Series("x")
+	const n = (DefaultBinCap+63)*10 + 5
+	for i := 1; i <= n; i++ {
+		s.Observe(float64(i), float64(i%7))
+	}
+	d := rec.Doc()
+	if err := d.Validate(); err != nil {
+		t.Fatalf("doc invalid: %v", err)
+	}
+	tier := d.Series[0].Rollups[0]
+	if tier.ResS != 10 || tier.Dropped != 63 || len(tier.Bins) != DefaultBinCap+1 {
+		t.Fatalf("10s tier: res %d dropped %d bins %d, want 10/63/%d",
+			tier.ResS, tier.Dropped, len(tier.Bins), DefaultBinCap+1)
+	}
+	for i, b := range tier.Bins {
+		if want := float64(630 + 10*i); b.T0 != want {
+			t.Fatalf("bin %d t0 %v, want %v (oldest-first, strictly increasing)", i, b.T0, want)
+		}
+		if i < DefaultBinCap && b.Count != 10 {
+			t.Fatalf("sealed bin %d has count %d, want 10", i, b.Count)
+		}
+	}
+	if open := tier.Bins[DefaultBinCap]; open.T0 != 15990 || open.Count != 5 {
+		t.Fatalf("open bin not last: %+v", open)
+	}
+	// The 60 s tier seals 266 bins, well inside its ring.
+	if tier60 := d.Series[0].Rollups[1]; tier60.Dropped != 0 || len(tier60.Bins) != 267 {
+		t.Fatalf("60s tier: dropped %d bins %d, want 0/267", tier60.Dropped, len(tier60.Bins))
+	}
+}
+
 func TestTSeriesDropsNonFinite(t *testing.T) {
 	rec := NewRecorder(0)
 	s := rec.Series("x")

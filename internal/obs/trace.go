@@ -85,14 +85,10 @@ const DefaultTraceCap = 16384
 // counter disambiguates repeated spans at the same simulated second.
 // All methods are nil-safe.
 type Tracer struct {
-	mu      sync.Mutex
-	seed    int64
-	buf     []Span
-	start   int // ring index of the oldest retained span
-	n       int // retained count
-	seq     int64
-	dropped int64
-	sites   map[siteKey]uint64
+	mu    sync.Mutex
+	seed  int64
+	log   ring[Span]
+	sites map[siteKey]uint64
 }
 
 type siteKey struct{ kind, node string }
@@ -103,7 +99,11 @@ func NewTracer(seed int64, cap int) *Tracer {
 	if cap <= 0 {
 		cap = DefaultTraceCap
 	}
-	return &Tracer{seed: seed, buf: make([]Span, cap), sites: make(map[siteKey]uint64)}
+	return &Tracer{
+		seed:  seed,
+		log:   newRing(cap, func(sp *Span, seq int64) { sp.Seq = seq }),
+		sites: make(map[siteKey]uint64),
+	}
 }
 
 // Seed returns the id-derivation seed (0 through nil).
@@ -193,58 +193,29 @@ func (t *Tracer) Append(sp Span, parent SpanRef) SpanRef {
 	}
 	sp.Trace = hexID(trace)
 	sp.ID = hexID(id)
-	t.append(sp)
+	t.log.push(sp)
 	return SpanRef{Trace: trace, ID: id}
 }
 
-// Adopt re-stamps an already-derived span (from a per-node staging
-// tracer) with this tracer's next sequence number and stores it. The
-// cluster's serial merge drains staging tracers in node-index order
-// through Adopt, which is what keeps fleet span sequence numbers
-// independent of the stepping worker count.
-func (t *Tracer) Adopt(sp Span) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.append(sp)
-}
-
-// append stores sp under t.mu, assigning the next seq.
-func (t *Tracer) append(sp Span) {
-	t.seq++
-	sp.Seq = t.seq
-	if t.n == len(t.buf) {
-		t.buf[t.start] = sp
-		t.start = (t.start + 1) % len(t.buf)
-		t.dropped++
-	} else {
-		t.buf[(t.start+t.n)%len(t.buf)] = sp
-		t.n++
-	}
-}
-
-// DrainTo adopts every retained span with Seq > seq into dst (which
-// re-stamps sequence numbers, keeping the derived ids) and returns
-// this tracer's newest sequence — the caller's next drain cursor.
-// Journal.DrainTo's allocation-free contract applies: the contiguous
-// sequence numbers index straight into the ring, so a drain costs
-// exactly the spans moved.
+// DrainTo moves every retained span with Seq > seq into dst, which
+// re-stamps sequence numbers and keeps the ids derived here, and
+// returns this tracer's newest sequence — the caller's next drain
+// cursor. The cluster's serial merge drains per-node staging tracers in
+// node-index order, which is what keeps fleet span sequence numbers
+// independent of the stepping worker count; like Journal.DrainTo, a
+// drain costs exactly the spans moved and allocates nothing.
 func (t *Tracer) DrainTo(dst *Tracer, seq int64) int64 {
 	if t == nil {
 		return seq
 	}
+	if dst == nil {
+		return t.LastSeq()
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	first := t.seq - int64(t.n) // seq before the oldest retained span
-	if seq < first {
-		seq = first
-	}
-	for s := seq + 1; s <= t.seq; s++ {
-		dst.Adopt(t.buf[(t.start+int(s-first-1))%len(t.buf)])
-	}
-	return t.seq
+	dst.mu.Lock()
+	defer dst.mu.Unlock()
+	return t.log.drainTo(&dst.log, seq)
 }
 
 // Since returns the retained spans with Seq > seq, oldest first.
@@ -254,14 +225,7 @@ func (t *Tracer) Since(seq int64) []Span {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var out []Span
-	for i := 0; i < t.n; i++ {
-		sp := t.buf[(t.start+i)%len(t.buf)]
-		if sp.Seq > seq {
-			out = append(out, sp)
-		}
-	}
-	return out
+	return t.log.appendSince(nil, seq)
 }
 
 // LastSeq returns the newest assigned sequence number.
@@ -271,7 +235,7 @@ func (t *Tracer) LastSeq() int64 {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.seq
+	return t.log.last()
 }
 
 // Dropped returns how many spans the ring has overwritten.
@@ -281,7 +245,7 @@ func (t *Tracer) Dropped() int64 {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.dropped
+	return t.log.dropped()
 }
 
 // TraceDoc is the persisted trace ("sturgeon/trace/v1"): the retained
@@ -347,14 +311,13 @@ func (d *TraceDoc) Validate() error {
 	return nil
 }
 
-// Doc snapshots the tracer as the persistable trace document. A nil
-// tracer yields an empty (but valid) document.
+// Doc snapshots the tracer as the persistable trace document (the
+// DocSince(0) snapshot without its gap count). A nil tracer yields an
+// empty (but valid) document.
 func (t *Tracer) Doc() *TraceDoc {
-	return &TraceDoc{
-		Schema:  TraceSchema,
-		Dropped: t.Dropped(),
-		Spans:   t.Since(0),
-	}
+	d := t.DocSince(0)
+	d.Missing = 0
+	return d
 }
 
 // DocSince snapshots the spans after seq. Missing counts spans the
@@ -362,28 +325,13 @@ func (t *Tracer) Doc() *TraceDoc {
 // between seq and the oldest retained span), so clients can tell a
 // quiet tracer from a wrapped one.
 func (t *Tracer) DocSince(seq int64) *TraceDoc {
-	d := &TraceDoc{Schema: TraceSchema, Dropped: t.Dropped()}
+	d := &TraceDoc{Schema: TraceSchema}
 	if t == nil {
 		return d
 	}
-	d.Spans = t.Since(seq)
-	d.Missing = missingSince(seq, t.LastSeq(), int64(len(d.Spans)))
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	d.Dropped, d.Spans = t.log.dropped(), t.log.appendSince(nil, seq)
+	d.Missing = missingSince(seq, t.log.last(), int64(len(d.Spans)))
 	return d
-}
-
-// missingSince computes how many sequence numbers in (since, last] fell
-// outside the returned window of got entries. Sequence numbers are
-// contiguous, so the gap is arithmetic.
-func missingSince(since, last, got int64) int64 {
-	if since < 0 {
-		since = 0
-	}
-	want := last - since
-	if want < 0 {
-		want = 0
-	}
-	if m := want - got; m > 0 {
-		return m
-	}
-	return 0
 }

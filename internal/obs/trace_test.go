@@ -16,7 +16,6 @@ func TestTracerNilSafety(t *testing.T) {
 	if ref := tr.Append(Span{Kind: SpanSearch}, SpanRef{}); ref.Valid() {
 		t.Fatal("nil tracer must return the zero ref")
 	}
-	tr.Adopt(Span{Kind: SpanSearch})
 	if tr.Since(0) != nil || tr.LastSeq() != 0 || tr.Dropped() != 0 || tr.Seed() != 0 {
 		t.Fatal("nil tracer must read as empty")
 	}
@@ -67,23 +66,24 @@ func TestTracerRingAndDocSince(t *testing.T) {
 	}
 }
 
+// TestTracerAdoptKeepsDerivedIDs pins how the fleet tracer adopts a
+// staging tracer's spans through DrainTo: ids derived on the staging
+// tracer survive, sequence numbers are re-stamped.
 func TestTracerAdoptKeepsDerivedIDs(t *testing.T) {
 	staging := NewTracer(42, 8)
 	ref := staging.Append(Span{Kind: SpanGovernorAdjust, Node: "node-002", Start: 3, End: 3}, SpanRef{})
 	global := NewTracer(42, 8)
 	global.Append(Span{Kind: SpanCoordEpoch, Start: 0, End: 0}, SpanRef{})
-	for _, sp := range staging.Since(0) {
-		global.Adopt(sp)
-	}
+	staging.DrainTo(global, 0)
 	got := global.Since(0)
 	if len(got) != 2 {
 		t.Fatalf("expected 2 spans, got %d", len(got))
 	}
 	if got[1].ID != hexID(ref.ID) || got[1].Trace != hexID(ref.Trace) {
-		t.Fatal("Adopt must keep the staging-derived ids")
+		t.Fatal("adopting must keep the staging-derived ids")
 	}
 	if got[1].Seq != 2 {
-		t.Fatalf("Adopt must re-stamp seq, got %d", got[1].Seq)
+		t.Fatalf("adopting must re-stamp seq, got %d", got[1].Seq)
 	}
 }
 
